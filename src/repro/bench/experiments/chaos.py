@@ -29,7 +29,7 @@ crashes.  Two measurements:
 Everything — crashes included — is a pure function of the seed: fault
 windows come from dedicated named RNG streams, migration aiming draws
 in control-plane event order, and rows are byte-identical across
-worker counts, crypto backends, and kernel partitionings.
+worker counts and crypto backends.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.server.invariants import InvariantChecker
 from repro.server.policy import VerifierPolicy
 from repro.server.rebalance import ShardPoolManager
 from repro.server.router import build_sharded_pool
-from repro.sim import make_kernel
+from repro.sim import Simulator
 from repro.sim.faults import FaultInjector
 
 ROUTER_HOST = "pool.chaos"
@@ -106,7 +106,6 @@ def r3_chaos_sweep(
     recovery_s: float = 2.0,
     seed: int = 167,
     max_outstanding: int = 400,
-    partitions: Optional[int] = None,
     workers_per_shard: int = 1,
     matrix_accounts: int = 4,
 ) -> Dict[str, object]:
@@ -130,15 +129,13 @@ def r3_chaos_sweep(
                 mode, crash_rate,
                 users=users, day_seconds=day_seconds, shards=shards,
                 recovery_s=recovery_s, seed=seed,
-                max_outstanding=max_outstanding, partitions=partitions,
+                max_outstanding=max_outstanding,
                 workers_per_shard=workers_per_shard,
             )
             rows.append(row)
             if plan:
                 fault_plans[f"{mode}@{crash_rate}"] = plan
-    matrix = crash_matrix(
-        seed=seed, partitions=partitions, accounts=matrix_accounts
-    )
+    matrix = crash_matrix(seed=seed, accounts=matrix_accounts)
     return {"rows": rows, "crash_matrix": matrix, "fault_plans": fault_plans}
 
 
@@ -157,8 +154,8 @@ def _newest_host(router) -> Optional[str]:
     return best[1] if best else None
 
 
-def _schedule_scale_events(control, manager, router, day_seconds: float) -> None:
-    base = control.now
+def _schedule_scale_events(sim, manager, router, day_seconds: float) -> None:
+    base = sim.now
 
     def try_scale_up() -> None:
         manager.scale_up()  # declines while busy/crashed; later attempt retries
@@ -171,11 +168,11 @@ def _schedule_scale_events(control, manager, router, day_seconds: float) -> None
             manager.drain_shard(host)
 
     for frac in SCALE_UP_AT:
-        control.schedule_at(
+        sim.schedule_at(
             base + day_seconds * frac, try_scale_up, label="r3.scale_up"
         )
     for frac in DRAIN_AT:
-        control.schedule_at(
+        sim.schedule_at(
             base + day_seconds * frac, try_drain, label="r3.drain"
         )
 
@@ -205,11 +202,10 @@ def _chaos_day(
     recovery_s: float,
     seed: int,
     max_outstanding: int,
-    partitions: Optional[int],
     workers_per_shard: int,
 ) -> Tuple[Dict, Dict]:
     wall_started = time.perf_counter()
-    sim = make_kernel(seed=seed, partitions=partitions)
+    sim = Simulator(seed=seed)
     network = Network(sim)
     network.attach(LOAD_HOST, LinkSpec.lan())
     drbg = HmacDrbg(b"r3-chaos", personalization=str(seed).encode())
@@ -223,11 +219,8 @@ def _chaos_day(
         journal_disk=disk, snapshot_every=64,
         breaker_reset_s=max(0.25, recovery_s / 3),
     )
-    # Control plane on the global queue: under the parallel kernel its
-    # events run at barriers with every partition quiesced (E4 rule).
-    control = getattr(sim, "global_scheduler", sim)
     manager = ShardPoolManager(
-        control, router,
+        sim, router,
         _shard_factory(sim, network, policy, disk=disk, cls=ChaosBank),
         intent_disk=disk,
     )
@@ -246,7 +239,7 @@ def _chaos_day(
     checker.snapshot_baseline()
 
     # Fault plan AFTER setup: windows are relative to virtual now.
-    injector = FaultInjector(control, horizon=day_seconds, name="r3.faults")
+    injector = FaultInjector(sim, horizon=day_seconds, name="r3.faults")
     if crash_rate > 0:
         for shard in router.shards:
             if mode == "torn":
@@ -257,7 +250,7 @@ def _chaos_day(
             manager, crash_rate / 2, recovery_s
         )
     if mode == "scripted":
-        _schedule_scale_events(control, manager, router, day_seconds)
+        _schedule_scale_events(sim, manager, router, day_seconds)
         if crash_rate > 0:
             injector.aim_at_migrations(manager, [
                 dict(entry, recovery_s=recovery_s) for entry in AIMED_PLAN
@@ -327,8 +320,8 @@ MATRIX_SETTLE_S = 120.0
 MATRIX_HORIZON_S = 200.0
 
 
-def _matrix_world(seed: int, partitions: Optional[int], accounts: int):
-    sim = make_kernel(seed=seed, partitions=partitions)
+def _matrix_world(seed: int, accounts: int):
+    sim = Simulator(seed=seed)
     network = Network(sim)
     network.attach(LOAD_HOST, LinkSpec.lan())
     policy = VerifierPolicy()
@@ -368,22 +361,19 @@ def _matrix_world(seed: int, partitions: Optional[int], accounts: int):
                  "signature": pkcs1_sign(signing_key, digest, prehashed=True),
                  "session": cookie},
             )
-    control = getattr(sim, "global_scheduler", sim)
     manager = ShardPoolManager(
-        control, router,
+        sim, router,
         _shard_factory(sim, network, policy, disk=disk, cls=ChaosBank),
         intent_disk=disk,
     )
     return sim, router, manager
 
 
-def _reference_digest(
-    seed: int, partitions: Optional[int], accounts: int, op: Optional[str]
-) -> bytes:
+def _reference_digest(seed: int, accounts: int, op: Optional[str]) -> bytes:
     """Never-crashed reference pools, run to the same horizon: the
     unscaled pool (abort cells), the cleanly-scaled pool, and the
     cleanly-drained pool (commit cells)."""
-    sim, router, manager = _matrix_world(seed, partitions, accounts)
+    sim, router, manager = _matrix_world(seed, accounts)
     if op == "scale_up":
         manager.scale_up()
     elif op == "drain":
@@ -392,23 +382,19 @@ def _reference_digest(
     return router.state_digest()
 
 
-def crash_matrix(
-    seed: int = 167,
-    partitions: Optional[int] = None,
-    accounts: int = 4,
-) -> Dict[str, object]:
+def crash_matrix(seed: int = 167, accounts: int = 4) -> Dict[str, object]:
     """Force one crash at every (operation, phase, victim) point and
     verify the protocol's promised outcome plus digest parity with the
     matching never-crashed reference pool."""
     wall_started = time.perf_counter()
     references = {
-        None: _reference_digest(seed, partitions, accounts, None),
-        "scale_up": _reference_digest(seed, partitions, accounts, "scale_up"),
-        "drain": _reference_digest(seed, partitions, accounts, "drain"),
+        None: _reference_digest(seed, accounts, None),
+        "scale_up": _reference_digest(seed, accounts, "scale_up"),
+        "drain": _reference_digest(seed, accounts, "drain"),
     }
     cells: List[Dict] = []
     for kind, phase, victim in _matrix_cells():
-        sim, router, manager = _matrix_world(seed, partitions, accounts)
+        sim, router, manager = _matrix_world(seed, accounts)
         checker = InvariantChecker(router, manager)
         checker.snapshot_baseline()
         fired: List[str] = []
@@ -493,20 +479,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--crash-rates", type=float, nargs="+", default=[0.0, 0.08]
     )
     parser.add_argument(
-        "--partitions", type=int, default=None,
-        help="run on the parallel kernel with this many partitions "
-        "(results are byte-identical to the sequential default)",
-    )
-    parser.add_argument(
         "--matrix-only", action="store_true",
         help="run just the crash-anywhere matrix",
     )
     args = parser.parse_args(argv)
     if args.matrix_only:
         result: Dict[str, object] = {
-            "crash_matrix": crash_matrix(
-                seed=args.seed, partitions=args.partitions
-            )
+            "crash_matrix": crash_matrix(seed=args.seed)
         }
     else:
         result = r3_chaos_sweep(
@@ -514,7 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             users=args.users,
             day_seconds=args.day,
             seed=args.seed,
-            partitions=args.partitions,
         )
     print(json.dumps(result, indent=2, default=str))
     return 0

@@ -30,7 +30,7 @@ exactly like R1/R2's health counters — no experiment-private counting.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.bench.loadgen import LOAD_HOST, FlashCrowd, LoadEngine
 from repro.crypto.drbg import HmacDrbg
@@ -38,7 +38,7 @@ from repro.crypto.rsa import generate_rsa_keypair
 from repro.net.network import LinkSpec, Network
 from repro.server.policy import VerifierPolicy
 from repro.server.router import build_sharded_pool
-from repro.sim import make_kernel
+from repro.sim import Simulator
 
 ROUTER_HOST = "pool.example"
 
@@ -59,7 +59,6 @@ def f6_open_loop_rows(
     spike_multiplier: float = SPIKE_MULTIPLIER,
     spike_duration_s: float = SPIKE_DURATION_S,
     max_outstanding: int = 1_000,
-    partitions: Optional[int] = None,
 ) -> List[Dict]:
     """Rows: users, arrivals, completed, failed, dropped_cap, confirms,
     goodput_cps, p95_session_ms, shed, retries, spike_arrivals,
@@ -87,7 +86,6 @@ def f6_open_loop_rows(
                     multiplier=spike_multiplier,
                 ),
                 max_outstanding=max_outstanding,
-                partitions=partitions,
             )
         )
     return rows
@@ -99,12 +97,8 @@ def _run_one(
     seed: int,
     spike: FlashCrowd,
     max_outstanding: int,
-    partitions: Optional[int] = None,
 ) -> Dict:
-    # ``partitions=None`` is the sequential baseline; any integer routes
-    # the same workload through the conservative parallel kernel, whose
-    # results must be byte-identical (asserted in test_sim_partition).
-    sim = make_kernel(seed=seed, partitions=partitions)
+    sim = Simulator(seed=seed)
     network = Network(sim)
     network.attach(LOAD_HOST, LinkSpec.lan())
     drbg = HmacDrbg(b"f6-openloop", personalization=str(seed).encode())

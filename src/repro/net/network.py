@@ -10,30 +10,15 @@ probability between a host and the core.  Two interaction styles:
   destination's inbox callback (used by the multi-client throughput
   experiment F2).
 
-Partitioning
-------------
-The network is the only component that crosses partition boundaries
-under the parallel kernel (`repro.sim.partition`), so it owns the two
-facts the kernel needs:
-
-* **Placement** — every host belongs to exactly one sub-simulator
-  (``attach(..., simulator=...)``; default: the kernel's partition 0).
-  Async sends between hosts on different sub-simulators are handed to
-  the kernel as timestamped messages instead of being scheduled
-  directly.
-* **Lookahead** — each link's latency model exposes a
-  ``lower_bound()``; the smallest possible cross-partition one-way
-  latency bounds how far partitions may run ahead of each other.
-
 Randomness is drawn from one stream per *source host*
-(``network.<host>``), never from a shared stream: each host's draws
-happen on its own partition in its own event order, so the sequential
-and partitioned kernels consume identical per-stream sequences.
+(``network.<host>``), never from a shared stream: a host's latency and
+loss draws depend only on its own sends, so traffic between unrelated
+hosts cannot perturb them and a replay of one host's flow stays
+aligned whatever else the run does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
@@ -73,44 +58,33 @@ class LinkSpec:
 class Network:
     """The star network connecting clients and service providers."""
 
-    def __init__(self, simulator) -> None:
-        # ``simulator`` is a plain Simulator or a PartitionedKernel;
-        # both expose ``default_simulator`` (a kernel answers with its
-        # partition 0, a simulator with itself).
-        base = simulator.default_simulator
-        self.kernel = simulator if base is not simulator else None
-        self.simulator = base
+    def __init__(self, simulator: Simulator) -> None:
+        self.simulator = simulator
         self._links: Dict[str, LinkSpec] = {}
         self._inboxes: Dict[str, Callable[[str, bytes], None]] = {}
-        #: Per-host owning sub-simulator and latency/loss RNG stream.
-        self._sims: Dict[str, Simulator] = {}
+        #: Per-host latency/loss RNG stream.
         self._rngs: Dict[str, object] = {}
-        #: Traffic counters are sliced by source host (single writer per
-        #: partition under the parallel kernel) and summed on read.
-        self._packets_sent: Dict[str, int] = {}
-        self._packets_dropped: Dict[str, int] = {}
-        self._bytes_sent: Dict[str, int] = {}
-        self._lookahead_cache: Optional[float] = None
+        self._packets_sent = 0
+        self._packets_dropped = 0
+        self._bytes_sent = 0
         self.fault_injector: Optional["FaultInjector"] = None
-        if self.kernel is not None:
-            self.kernel.register_network(self)
 
     @property
     def tracer(self):
         return self.simulator.tracer
 
-    # -- traffic stats (summed across per-host slots) ---------------------
+    # -- traffic stats ------------------------------------------------------
     @property
     def packets_sent(self) -> int:
-        return sum(self._packets_sent.values())
+        return self._packets_sent
 
     @property
     def packets_dropped(self) -> int:
-        return sum(self._packets_dropped.values())
+        return self._packets_dropped
 
     @property
     def bytes_sent(self) -> int:
-        return sum(self._bytes_sent.values())
+        return self._bytes_sent
 
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Subject this network to an injector's loss bursts and latency
@@ -123,31 +97,14 @@ class Network:
         host: str,
         link: Optional[LinkSpec] = None,
         inbox: Optional[Callable[[str, bytes], None]] = None,
-        simulator: Optional[Simulator] = None,
     ) -> None:
-        """Register ``host`` with its link; ``inbox`` receives async sends.
-
-        ``simulator`` places the host on a specific sub-simulator under
-        the partitioned kernel; the default is the network's own
-        simulator (partition 0 when partitioned).
-        """
+        """Register ``host`` with its link; ``inbox`` receives async sends."""
         if host in self._links:
             raise NetworkError(f"host {host!r} already attached")
-        owner = simulator if simulator is not None else self.simulator
         self._links[host] = link or LinkSpec.wan()
-        self._sims[host] = owner
-        # Stream seeds depend only on (master_seed, name), so it does
-        # not matter which sub-simulator derives the stream — but the
-        # object is created here, once, on a quiesced thread.
-        self._rngs[host] = owner.rng.stream(f"network.{host}")
-        self._packets_sent[host] = 0
-        self._packets_dropped[host] = 0
-        self._bytes_sent[host] = 0
+        self._rngs[host] = self.simulator.rng.stream(f"network.{host}")
         if inbox is not None:
             self._inboxes[host] = inbox
-        self._lookahead_cache = None
-        if self.kernel is not None:
-            self.kernel.invalidate_lookahead()
 
     def set_inbox(self, host: str, inbox: Callable[[str, bytes], None]) -> None:
         self._require(host)
@@ -159,31 +116,6 @@ class Network:
     def is_attached(self, host: str) -> bool:
         return host in self._links
 
-    def simulator_for(self, host: str) -> Simulator:
-        """The sub-simulator that owns ``host`` (scheduling, clock, rng)."""
-        return self._sims.get(host, self.simulator)
-
-    def cross_partition_lookahead(self) -> float:
-        """Minimum possible one-way latency between hosts on *different*
-        sub-simulators; ``inf`` when no pair of partitions shares this
-        network.  This is the conservative lookahead bound: a message
-        sent at ``t`` cannot arrive on another partition before
-        ``t + lookahead``."""
-        if self._lookahead_cache is None:
-            per_sim: Dict[int, float] = {}
-            for host, link in self._links.items():
-                sim_key = id(self._sims[host])
-                bound = link.latency.lower_bound()
-                current = per_sim.get(sim_key)
-                if current is None or bound < current:
-                    per_sim[sim_key] = bound
-            if len(per_sim) < 2:
-                self._lookahead_cache = math.inf
-            else:
-                smallest = sorted(per_sim.values())
-                self._lookahead_cache = smallest[0] + smallest[1]
-        return self._lookahead_cache
-
     def _require(self, host: str) -> LinkSpec:
         if host not in self._links:
             raise NetworkError(f"unknown host {host!r}")
@@ -192,15 +124,15 @@ class Network:
     def one_way_latency(self, source: str, destination: str) -> float:
         """Sample the one-way latency source → core → destination.
 
-        Both link samples come from the *source* host's stream — the
-        send happens in the source's event order, on its partition.
+        Both link samples come from the *source* host's stream, so the
+        draw sequence follows that host's sends alone.
         """
         src = self._require(source)
         dst = self._require(destination)
         rng = self._rngs[source]
         latency = src.latency.sample(rng) + dst.latency.sample(rng)
         if self.fault_injector is not None:
-            now = self._sims[source].clock.now
+            now = self.simulator.clock.now
             latency *= max(
                 self.fault_injector.latency_factor(source, now),
                 self.fault_injector.latency_factor(destination, now),
@@ -220,7 +152,7 @@ class Network:
         src = self._require(source)
         dst = self._require(destination)
         rng = self._rngs[source]
-        now = self._sims[source].clock.now
+        now = self.simulator.clock.now
         # Always draw both link probabilities: the number of RNG
         # consumptions must not depend on the first draw's outcome, or
         # enabling loss on one link perturbs every later latency sample
@@ -228,7 +160,7 @@ class Network:
         src_lost = rng.random() < self._link_loss(source, src, now)
         dst_lost = rng.random() < self._link_loss(destination, dst, now)
         if src_lost or dst_lost:
-            self._packets_dropped[source] += 1
+            self._packets_dropped += 1
             return True
         return False
 
@@ -237,29 +169,21 @@ class Network:
         """Deliver ``payload`` synchronously; the caller's time advances
         by the sampled one-way latency.  Raises on a dropped packet so
         callers implement their own retry policy."""
-        src_sim = self.simulator_for(source)
-        if (
-            self.kernel is not None
-            and self.kernel.in_window
-            and src_sim is not self.simulator_for(destination)
-        ):
-            raise NetworkError(
-                "synchronous transfer cannot cross partitions during a "
-                f"windowed run ({source!r} -> {destination!r}); use the "
-                "queued path"
-            )
         with self.tracer.span(
             "net.transfer", source=source, destination=destination,
             nbytes=len(payload),
         ) as span:
+            # Validate both ends before touching the counters, as in
+            # :meth:`send`.
             self._require(source)
-            self._packets_sent[source] += 1
-            self._bytes_sent[source] += len(payload)
+            self._require(destination)
+            self._packets_sent += 1
+            self._bytes_sent += len(payload)
             dropped = self._maybe_drop(source, destination)
             # The sender waits one sampled latency either way: a dropped
             # packet still costs its timeout-ish detection delay.
             latency = self.one_way_latency(source, destination)
-            src_sim.clock.advance(latency)
+            self.simulator.clock.advance(latency)
             span.set("latency_s", latency)
             if dropped:
                 span.set("dropped", True)
@@ -274,8 +198,8 @@ class Network:
         self._require(source)
         if destination not in self._inboxes:
             raise NetworkError(f"host {destination!r} has no inbox")
-        self._packets_sent[source] += 1
-        self._bytes_sent[source] += len(payload)
+        self._packets_sent += 1
+        self._bytes_sent += len(payload)
         # The latency is sampled whether or not the packet survives, so
         # lossy and lossless configs consume identical RNG sequences.
         dropped = self._maybe_drop(source, destination)
@@ -300,16 +224,6 @@ class Network:
             def deliver() -> None:
                 inbox(source, payload)
 
-        src_sim = self._sims[source]
-        dst_sim = self._sims[destination]
-        label = f"net:{source}->{destination}"
-        if dst_sim is src_sim:
-            src_sim.schedule(delay, deliver, label=label)
-        else:
-            # Partition-crossing message: timestamped and handed to the
-            # kernel (buffered into the source partition's outbox during
-            # a window, injected at the barrier; scheduled directly when
-            # no window is active).
-            self.kernel.post(
-                src_sim, dst_sim, src_sim.clock.now + delay, deliver, label
-            )
+        self.simulator.schedule(
+            delay, deliver, label=f"net:{source}->{destination}"
+        )

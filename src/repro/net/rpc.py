@@ -140,11 +140,11 @@ class _RpcRouter:
     call.  Call ids are allocated per *caller host* — a response packet
     arrives at its caller's inbox, so ``(caller, call_id)`` is a unique
     key and no global counter is needed.  Per-caller allocation keeps
-    the id sequence identical between the sequential and partitioned
-    kernels (a global counter's order would depend on cross-partition
-    interleaving).  Late or duplicated responses for completed calls
-    are recognized and dropped (counted as ``stale_responses``) instead
-    of mis-delivered.
+    each caller's id sequence independent of every other caller's
+    traffic (a global counter's ids would shift whenever an unrelated
+    host sent more or less).  Late or duplicated responses for
+    completed calls are recognized and dropped (counted as
+    ``stale_responses``) instead of mis-delivered.
     """
 
     _ATTR = "_rpc_router"
@@ -247,9 +247,8 @@ class RpcEndpoint:
         #: Default policy for submit(); callers may override per call.
         self.retry_policy = RetryPolicy()
         #: Retry jitter is drawn from one stream per caller host
-        #: (created lazily on first submit): each caller's draws happen
-        #: on its own partition in its own event order, which keeps the
-        #: sequences identical across sequential and partitioned runs.
+        #: (created lazily on first submit), so one caller's retries never
+        #: shift another caller's jitter draws.
         self._retry_rngs: Dict[str, object] = {}
         self._router = _RpcRouter.for_network(network)
         self._router.bind(self)
@@ -435,14 +434,9 @@ class RpcEndpoint:
         router = self._router
         router.ensure_inbox(caller)
         router.ensure_inbox(self.host)
-        # All caller-side state — the pending entry, retransmit and
-        # deadline timers, jitter draws — lives on the *caller's*
-        # simulator: the retransmit loop is the caller's behavior and
-        # must run on the caller's partition.
-        caller_sim = self.network.simulator_for(caller)
         retry_rng = self._retry_rngs.get(caller)
         if retry_rng is None:
-            retry_rng = self._retry_rngs[caller] = caller_sim.rng.stream(
+            retry_rng = self._retry_rngs[caller] = self.simulator.rng.stream(
                 f"rpc.retry.{caller}->{self.host}"
             )
         call_id = router.next_call_id(caller)
@@ -482,7 +476,7 @@ class RpcEndpoint:
             self.network.send(caller, self.host, packet)
             if call.attempts < policy.max_attempts:
                 timeout = policy.timeout_for(attempt, retry_rng)
-                call.retransmit_event = caller_sim.schedule(
+                call.retransmit_event = self.simulator.schedule(
                     timeout, retransmit, label=f"rpc:retx:{method}"
                 )
 
@@ -497,10 +491,10 @@ class RpcEndpoint:
                 if call.done:
                     return
                 self.dead_letters += 1
-                caller_sim.metrics.counter("rpc.dead_letters").increment()
+                self.simulator.metrics.counter("rpc.dead_letters").increment()
                 finish(deadline_error(call.attempts, deadline))
 
-            call.deadline_event = caller_sim.schedule(
+            call.deadline_event = self.simulator.schedule(
                 deadline, expire, label=f"rpc:deadline:{method}"
             )
 

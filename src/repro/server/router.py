@@ -860,12 +860,6 @@ def build_sharded_pool(
     durable: each gets a write-ahead journal on the shared disk and
     rebuilds its state bit-identically on restart after a crash (the R2
     journal ablation passes ``None`` here).
-
-    ``simulator`` may be a plain :class:`Simulator` or a
-    :class:`~repro.sim.partition.PartitionedKernel`: each shard is
-    placed on ``simulator.simulator_for_host(...)`` (identity for a
-    plain simulator, round-robin over partitions for the kernel), so
-    the same wiring runs sequential or partitioned.
     """
     if shard_count < 1:
         raise ValueError(f"shard_count must be >= 1: {shard_count}")
@@ -874,11 +868,10 @@ def build_sharded_pool(
     shards = []
     for index in range(shard_count):
         shard_host = f"{host}!shard{index}"
-        shard_sim = simulator.simulator_for_host(shard_host)
         if not network.is_attached(shard_host):
-            network.attach(shard_host, LinkSpec.lan(), simulator=shard_sim)
+            network.attach(shard_host, LinkSpec.lan())
         shard = factory(
-            shard_sim, network, shard_host, policy,
+            simulator, network, shard_host, policy,
             workers=workers_per_shard, **extra,
         )
         if journal_disk is not None:

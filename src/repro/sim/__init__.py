@@ -18,7 +18,6 @@ Public API
 :class:`SeededRng`       — named, reproducible random streams.
 :class:`Tracer`          — hierarchical span recording over virtual time.
 :class:`TraceAnalyzer`   — critical paths and per-phase span aggregation.
-:class:`PartitionedKernel` — conservative parallel-in-virtual-time kernel.
 """
 
 from repro.sim.clock import VirtualClock
@@ -33,12 +32,6 @@ from repro.sim.latency import (
     UniformLatency,
 )
 from repro.sim.metrics import Counter, Histogram, MetricRegistry, Timer
-from repro.sim.partition import (
-    GlobalScheduler,
-    MergedMetrics,
-    PartitionedKernel,
-    make_kernel,
-)
 from repro.sim.process import SimProcess, Sleep, WaitFor
 from repro.sim.randoms import SeededRng
 from repro.sim.tracing import (
@@ -67,10 +60,6 @@ __all__ = [
     "Counter",
     "Timer",
     "Histogram",
-    "PartitionedKernel",
-    "GlobalScheduler",
-    "MergedMetrics",
-    "make_kernel",
     "SimProcess",
     "Sleep",
     "WaitFor",

@@ -97,19 +97,14 @@ class EventQueue:
                 return event
         return None
 
-    def pop_due(
-        self, until: Optional[float] = None, inclusive: bool = True
-    ) -> Optional[Event]:
-        """Remove and return the earliest live event with ``time <= until``
-        (``time < until`` when ``inclusive`` is False).
+    def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
+        """Remove and return the earliest live event with ``time <= until``.
 
         Returns ``None`` when the queue is empty *or* the earliest live
         event lies beyond ``until`` (it stays queued); use
         :meth:`peek_time` to distinguish.  This is the kernel's combined
         peek-and-pop: one heap traversal per dispatched event instead of
-        two.  The exclusive form gives the partitioned kernel its
-        half-open execution windows ``[W0, W1)``: events at exactly the
-        barrier time stay queued for the next window.
+        two.
         """
         heap = self._heap
         while heap:
@@ -117,10 +112,8 @@ class EventQueue:
             if head[2].cancelled:
                 _heappop(heap)
                 continue
-            if until is not None:
-                time = head[0]
-                if time > until or (time == until and not inclusive):
-                    return None
+            if until is not None and head[0] > until:
+                return None
             return _heappop(heap)[2]
         return None
 

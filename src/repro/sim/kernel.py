@@ -146,16 +146,11 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: int = 10_000_000,
-        inclusive: bool = True,
     ) -> int:
         """Dispatch events until the queue drains or ``until`` is reached.
 
-        ``inclusive`` controls whether events at exactly ``until`` are
-        dispatched (the default) or left queued — the partitioned kernel
-        runs its intermediate windows half-open and only the final
-        window inclusive, matching a single sequential ``run(until)``.
-
-        Returns the number of events dispatched by this call.
+        Events at exactly ``until`` are dispatched.  Returns the number of
+        events dispatched by this call.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
@@ -174,13 +169,9 @@ class Simulator:
         budget = dispatched + max_events
         try:
             while True:
-                event = pop_due(until, inclusive)
+                event = pop_due(until)
                 if event is None:
-                    if (
-                        inclusive
-                        and until is not None
-                        and peek_time() is not None
-                    ):
+                    if until is not None and peek_time() is not None:
                         # Earliest live event lies beyond the horizon.
                         clock.advance_to(until)
                     break
@@ -212,29 +203,6 @@ class Simulator:
     def events_dispatched(self) -> int:
         """Total events dispatched over the simulator's lifetime."""
         return self._dispatched
-
-    # ------------------------------------------------------------------
-    # Partitioning interface (duck-typed; see repro.sim.partition)
-    # ------------------------------------------------------------------
-    @property
-    def default_simulator(self) -> "Simulator":
-        """The simulator hosting components with no explicit placement.
-
-        A plain simulator is its own default; the partitioned kernel
-        answers with partition 0.  Code that accepts "a simulator or a
-        kernel" uses this instead of isinstance checks.
-        """
-        return self
-
-    def simulator_for_host(self, host: str) -> "Simulator":
-        """Choose the sub-simulator that should own ``host``.
-
-        A plain simulator owns every host.  The partitioned kernel
-        overrides this with its round-robin shard placement, letting
-        factories (``build_sharded_pool``, the rebalance shard factory)
-        stay agnostic about whether they run partitioned.
-        """
-        return self
 
     def __repr__(self) -> str:
         return (

@@ -53,7 +53,7 @@ class TestMatrixDefinition:
             assert ids == [
                 "t1", "t2", "t2b", "t3", "t4", "f1", "f2", "f3", "f3s",
                 "f4", "f6", "e4", "f5", "r1", "r2", "r3", "a1", "a2", "e1", "e3",
-                "e2", "rsax", "kernx",
+                "e2", "rsax",
             ]
 
     def test_result_keys_cover_report_needs(self):

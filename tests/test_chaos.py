@@ -18,18 +18,16 @@ deterministic chaos harness:
   control plane at every migration phase resolves deterministically —
   clean abort before the commit record, idempotent resume after — with
   survivor digests bit-identical to a never-crashed reference;
-* the R3 chaos sweep is byte-identical across kernel partitionings,
-  worker counts, and crypto backends.
+* the R3 chaos sweep is byte-identical across worker counts (per shard
+  and per runner pool) and crypto backends.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.crypto import HmacDrbg, generate_rsa_keypair
 from repro.crypto.backend import use_backend
 from repro.net.network import LinkSpec, Network
-from repro.os.disk import UntrustedDisk
 from repro.server.bank import BankServer
 from repro.server.invariants import (
     CHECKS,
@@ -38,7 +36,6 @@ from repro.server.invariants import (
 )
 from repro.server.policy import VerifierPolicy
 from repro.server.rebalance import ShardPoolManager
-from repro.server.router import build_sharded_pool
 from repro.sim import Simulator
 from repro.sim.faults import FaultConfigError, FaultInjector, Window
 
@@ -265,18 +262,20 @@ class TestR3Determinism:
 
         return json.dumps(strip_wall(result), sort_keys=True, default=repr)
 
-    def test_byte_identical_across_partitions_and_workers(self):
+    def test_byte_identical_across_workers(self):
+        """1 vs 4 RPC workers per shard, and an in-process run vs a
+        4-process runner pool, all give the same stripped rows."""
         from repro.bench.experiments.chaos import r3_chaos_sweep
+        from repro.bench.runner import Cell, run_cells
 
         base = self._canonical(r3_chaos_sweep(**self.KWARGS))
-        partitioned = self._canonical(
-            r3_chaos_sweep(partitions=2, **self.KWARGS)
-        )
         threaded = self._canonical(
             r3_chaos_sweep(workers_per_shard=4, **self.KWARGS)
         )
-        assert base == partitioned
         assert base == threaded
+        cell = Cell("r3", ("r3",), r3_chaos_sweep, self.KWARGS)
+        pooled, _, _ = run_cells([cell], workers=4)
+        assert self._canonical(pooled["r3"]) == base
 
     def test_byte_identical_across_crypto_backends(self):
         from repro.bench.experiments.chaos import r3_chaos_sweep

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.network import LinkSpec, Network, NetworkError
 from repro.net.rpc import RpcEndpoint, RpcError
-from repro.sim import ConstantLatency
+from repro.sim import ConstantLatency, NormalLatency, Simulator
 
 
 def _net(simulator, loss=0.0):
@@ -26,7 +26,11 @@ class TestNetwork:
     def test_unknown_host_rejected(self, simulator):
         network = _net(simulator)
         with pytest.raises(NetworkError):
-            network.transfer("a", "ghost", b"x")
+            network.transfer("a", "ghost", b"xyz")
+        # The packet never entered the network: nothing is counted.
+        assert network.packets_sent == 0
+        assert network.bytes_sent == 0
+        assert network.packets_dropped == 0
         with pytest.raises(NetworkError):
             network.attach("a")  # duplicate
 
@@ -57,6 +61,47 @@ class TestNetwork:
         network = _net(simulator)
         network.transfer("a", "b", b"12345")
         assert network.bytes_sent == 5 and network.packets_sent == 1
+
+
+def _b_to_c_deliveries(with_a_traffic: bool):
+    """Deliveries of 40 ``b -> c`` packets on lossy, jittery links, with
+    or without ``a`` sending to ``c`` at the same instants and between."""
+    sim = Simulator(seed=21)
+    network = Network(sim)
+    link = LinkSpec(
+        latency=NormalLatency(mu=0.02, sigma=0.005), loss_probability=0.3
+    )
+    for host in ("a", "b", "c"):
+        network.attach(host, link)
+    arrivals = {"a": [], "b": []}
+    network.set_inbox(
+        "c", lambda source, payload: arrivals[source].append((payload, sim.now))
+    )
+    for i in range(40):
+        at = i * 0.1
+        if with_a_traffic:
+            # Same instant, scheduled first: a's draws come before b's.
+            sim.schedule_at(at, lambda: network.send("a", "c", b"noise"))
+            sim.schedule_at(at + 0.05, lambda: network.send("a", "c", b"more"))
+        sim.schedule_at(at, lambda i=i: network.send("b", "c", b"b%d" % i))
+    sim.run()
+    return arrivals
+
+
+class TestPerHostStreams:
+    def test_unrelated_traffic_does_not_perturb_a_hosts_draws(self):
+        """Latency and loss draws come from the source host's own
+        stream, so b's deliveries to c (which packets survive, and when
+        each arrives) are the same whether or not a sends too."""
+        quiet = _b_to_c_deliveries(with_a_traffic=False)
+        busy = _b_to_c_deliveries(with_a_traffic=True)
+        assert busy["b"] == quiet["b"]
+        # Both draw kinds were exercised: some of b's packets were lost,
+        # some arrived with jitter, and a's traffic really flowed.
+        assert 0 < len(quiet["b"]) < 40
+        delays = {t - 0.1 * int(payload[1:]) for payload, t in quiet["b"]}
+        assert len(delays) > 1
+        assert quiet["a"] == [] and busy["a"]
 
 
 class TestRpcSync:

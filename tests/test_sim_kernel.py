@@ -80,6 +80,73 @@ class TestEventQueue:
         assert queue.peek_time() == 3.0
 
 
+class TestPopDueEdgeCases:
+    """The kernel's combined peek-and-pop primitive."""
+
+    def test_empty_queue_fast_path(self):
+        queue = EventQueue()
+        assert queue.pop_due() is None
+        assert queue.pop_due(until=1.0) is None
+        assert queue.peek_time() is None
+
+    def test_equal_timestamp_fifo_stability(self):
+        queue = EventQueue()
+        order = []
+        for i in range(32):
+            queue.push(1.0, lambda i=i: None, label=str(i))
+            order.append(str(i))
+        popped = []
+        while True:
+            event = queue.pop_due(until=1.0)
+            if event is None:
+                break
+            popped.append(event.label)
+        assert popped == order
+
+    def test_pop_at_exact_boundary_is_inclusive(self):
+        queue = EventQueue()
+        queue.push(2.0, lambda: None, label="at-boundary")
+        queue.push(2.5, lambda: None, label="beyond")
+        event = queue.pop_due(until=2.0)
+        assert event is not None and event.label == "at-boundary"
+        assert queue.pop_due(until=2.0) is None
+        assert queue.peek_time() == 2.5
+
+    def test_interleaved_push_during_drain(self):
+        """Events pushed from inside a drain loop are popped by the same
+        drain when due, in (time, seq) order."""
+        queue = EventQueue()
+        seen = []
+
+        def spawn(label, at):
+            def action():
+                seen.append(label)
+                if at < 0.5:
+                    queue.push(at + 0.1, *spawn_args(f"{label}+", at + 0.1))
+
+            return action
+
+        def spawn_args(label, at):
+            return (spawn(label, at), label)
+
+        queue.push(0.1, *spawn_args("a", 0.1))
+        queue.push(0.1, *spawn_args("b", 0.1))
+        while (event := queue.pop_due(until=1.0)) is not None:
+            event.action()
+        # Both chains interleave strictly by (time, seq).
+        assert seen == ["a", "b", "a+", "b+", "a++", "b++", "a+++", "b+++",
+                        "a++++", "b++++"]
+
+    def test_cancelled_events_are_skipped_not_returned(self):
+        queue = EventQueue()
+        doomed = queue.push(1.0, lambda: None, label="doomed")
+        queue.push(1.0, lambda: None, label="kept")
+        doomed.cancel()
+        event = queue.pop_due(until=1.0)
+        assert event is not None and event.label == "kept"
+        assert queue.pop_due(until=1.0) is None
+
+
 class TestSimulator:
     def test_dispatch_advances_clock(self):
         sim = Simulator()
@@ -129,6 +196,41 @@ class TestSimulator:
         sim.schedule(0.0, loop)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
+
+    def test_max_events_budget_enforced(self):
+        """The budget also stops a chain that advances time under a horizon."""
+        sim = Simulator(seed=1)
+
+        def tick():
+            sim.schedule(0.0001, tick)
+
+        sim.schedule(0.0, tick)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(until=10.0, max_events=100)
+
+    def test_clocks_advance_to_horizon(self):
+        """With work pending past the horizon, each run lands on ``until``."""
+        sim = Simulator(seed=1)
+        sim.schedule(0.25, lambda: None)
+        sim.schedule(10.0, lambda: None)
+        assert sim.run(until=0.5) == 1
+        assert sim.now == 0.5
+        assert sim.run(until=2.0) == 0
+        assert sim.now == 2.0
+
+    def test_run_is_not_reentrant(self):
+        sim = Simulator()
+        sim.schedule(0.1, lambda: sim.run(until=2.0))
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run(until=1.0)
+
+    def test_event_at_exactly_until_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append("end"))
+        sim.run(until=1.0)
+        assert fired == ["end"]
+        assert sim.now == 1.0
 
     def test_run_for(self):
         sim = Simulator()
